@@ -1113,8 +1113,8 @@ pub struct PushdownRun {
     pub pushdown: bool,
     /// Strategy the planner picked in this mode.
     pub strategy: String,
-    /// Best-of-reps wall-clock seconds for the full query (setup-inclusive:
-    /// pushed filters run during base fragmentation).
+    /// Best-of-reps wall-clock seconds for the full query (setup-inclusive;
+    /// pushed filters run inside the scanning instances).
     pub elapsed_s: f64,
     /// Result tuples (must agree across modes).
     pub result_tuples: u64,
@@ -3487,6 +3487,13 @@ mod tests {
         let base = mj_exec::chain_query_sql(3);
 
         let adhoc = prepared_hammer(addr, &base, "R1.id", 40, 2, 3, false).unwrap();
+        // Plan the text once on another connection first: two clients that
+        // prepare at the same instant can both miss (each plans before the
+        // other's entry lands), so only prepares after it are sure to hit.
+        mj_server::Client::connect(addr)
+            .unwrap()
+            .prepare(&format!("{base} WHERE R1.id < ?1"))
+            .unwrap();
         let prepared = prepared_hammer(addr, &base, "R1.id", 40, 2, 3, true).unwrap();
         assert_eq!(adhoc.queries, 6);
         assert_eq!(prepared.queries, 6);

@@ -37,10 +37,11 @@ use crossbeam::channel::{Receiver, Sender};
 use mj_core::plan_ir::{OperandSource, ParallelPlan, PlanOp};
 use mj_core::validate::validate_plan;
 use mj_plan::segment::segments;
-use mj_relalg::column::ColumnLayout;
-use mj_relalg::ops::filter_gather;
-use mj_relalg::{RelalgError, Relation, RelationProvider, Result, Tuple};
-use mj_storage::{hash_partition, FragmentStore};
+use mj_relalg::column::{ColumnBatch, ColumnLayout};
+use mj_relalg::{RelalgError, Relation, Result, Tuple};
+use mj_storage::{
+    BucketIndex, Catalog, ColumnScan, FragmentStore, ResidentRelation, Rows, StoredFragment,
+};
 
 use crate::binding::{QueryBinding, StageKind};
 use crate::budget::MemoryBudget;
@@ -66,6 +67,45 @@ type OutStreams = HashMap<usize, OutEdge>;
 /// operation spawns.
 type ClientEdge = (Sender<Msg>, Arc<BatchPool>);
 
+/// The column-resident relations one query reads, by catalog name —
+/// looked up once per query so every scan and the late-materialization
+/// registry see the same catalog generation even if a relation is
+/// re-registered while the query runs.
+pub(crate) type Residents = HashMap<String, Arc<ResidentRelation>>;
+
+/// Snapshots the resident copy of every base relation `plan` scans.
+pub(crate) fn residents(plan: &ParallelPlan, catalog: &Catalog) -> Result<Residents> {
+    let mut out = Residents::new();
+    for op in &plan.ops {
+        for operand in [&op.left, &op.right] {
+            if let OperandSource::Base { relation } = operand {
+                if !out.contains_key(relation) {
+                    out.insert(relation.clone(), catalog.resident(relation)?);
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// One base operand's scan before it is split per instance: the stored
+/// columns with the operand's filter and shape, plus the cached bucket
+/// lists that give instance `i` its ideal fragment (`None` at degree 1).
+struct BaseScan {
+    scan: ColumnScan,
+    buckets: Option<Arc<BucketIndex>>,
+}
+
+impl BaseScan {
+    /// The scan instance `i` reads.
+    fn instance(&self, i: usize) -> ColumnScan {
+        match &self.buckets {
+            Some(index) => self.scan.clone().rows(Rows::Bucket(index.clone(), i)),
+            None => self.scan.clone(),
+        }
+    }
+}
+
 /// The materialized result of executing a plan to completion — what the
 /// blocking wrappers ([`Engine::run`], [`run_plan`]) assemble by draining
 /// the [`ResultStream`]. Streaming clients use [`Engine::submit`] and
@@ -75,8 +115,11 @@ pub struct ExecOutcome {
     /// The query result (the root join's output, drained from the stream).
     pub relation: Relation,
     /// Response time: scheduling start to last operation process exit
-    /// (the paper's metric; initial data fragmentation is setup, not
-    /// response time, matching §4.1's pre-fragmented starting state).
+    /// (the paper's metric). Base relations are already column-resident
+    /// and ideally fragmented (§4.1) by cached bucket lists, so what
+    /// precedes it is only binding the query's scans to the stored
+    /// columns; pushed-down filters and bucket selections are evaluated
+    /// inside the timed window, by the scanning instances.
     pub elapsed: Duration,
     /// End-to-end time from submission to the first result batch reaching
     /// the draining client; `None` when the query produced no batches.
@@ -102,7 +145,7 @@ pub struct ExecOutcome {
 /// submitted query additionally holds one mostly-idle coordinator thread
 /// for its own lifetime; coordinators never execute operator work.)
 pub struct Engine {
-    provider: Arc<dyn RelationProvider + Send + Sync>,
+    catalog: Arc<Catalog>,
     config: ExecConfig,
     pool: Arc<WorkerPool>,
     store: Arc<FragmentStore>,
@@ -199,15 +242,13 @@ impl Drop for AdmissionPermit {
 }
 
 impl Engine {
-    /// Creates an engine over `provider` (the base-relation store shared
-    /// by all queries) with `config.workers` pool threads.
-    pub fn new(
-        provider: Arc<dyn RelationProvider + Send + Sync>,
-        config: ExecConfig,
-    ) -> Result<Engine> {
+    /// Creates an engine over `catalog` (the column-resident base
+    /// relations shared by all queries) with `config.workers` pool
+    /// threads.
+    pub fn new(catalog: Arc<Catalog>, config: ExecConfig) -> Result<Engine> {
         config.validate().map_err(RelalgError::InvalidPlan)?;
         Ok(Engine {
-            provider,
+            catalog,
             config,
             pool: WorkerPool::new(config.workers),
             store: Arc::new(FragmentStore::new(0)),
@@ -304,7 +345,7 @@ impl Engine {
 
         let plan = plan.clone();
         let binding = binding.clone();
-        let provider = self.provider.clone();
+        let catalog = self.catalog.clone();
         let config = self.config;
         let pool = self.pool.clone();
         let store = self.store.clone();
@@ -317,7 +358,7 @@ impl Engine {
                 let result = run_query(
                     &plan,
                     &binding,
-                    provider.as_ref(),
+                    catalog.as_ref(),
                     &config,
                     &opts,
                     &pool,
@@ -374,7 +415,7 @@ impl Engine {
     }
 }
 
-/// Executes `plan` against the relations in `provider` on a transient
+/// Executes `plan` against the relations in `catalog` on a transient
 /// single-query engine (a pool of `config.workers` threads is created for
 /// the call and joined before it returns), draining the stream into a
 /// materialized [`ExecOutcome`]. Long-lived callers, concurrent
@@ -382,7 +423,7 @@ impl Engine {
 pub fn run_plan(
     plan: &ParallelPlan,
     binding: &QueryBinding,
-    provider: &(dyn RelationProvider + Sync),
+    catalog: &Catalog,
     config: &ExecConfig,
 ) -> Result<ExecOutcome> {
     let opts = QueryOptions::default();
@@ -399,7 +440,7 @@ pub fn run_plan(
         let opts_ref = &opts;
         let coordinator = scope.spawn(move || {
             run_query(
-                plan, binding, provider, config, opts_ref, pool, store, 0, client, ctrl_ref,
+                plan, binding, catalog, config, opts_ref, pool, store, 0, client, ctrl_ref,
             )
         });
         let mut tuples: Vec<Tuple> = Vec::new();
@@ -477,14 +518,16 @@ struct QueryRun<'a> {
     ns: String,
     /// Per-op scheduling priority: the op's segment wave (§4 order).
     priorities: Vec<usize>,
-    /// side_fragments[(op, side)] = per-instance base fragments.
-    base_fragments: HashMap<(usize, usize), Vec<Arc<Relation>>>,
+    /// base_scans[(op, side)] = the base operand's scan, split per
+    /// instance at spawn.
+    base_scans: HashMap<(usize, usize), BaseScan>,
     /// Receivers for stream operands, taken at consumer spawn.
     stream_rx: HashMap<(usize, usize), Vec<Receiver<Msg>>>,
     /// Senders for stream outputs, taken at producer spawn.
     out_stream: OutStreams,
-    /// Producer op -> consumer uses materialization.
-    out_materialized: Vec<bool>,
+    /// Producer op -> the materializing consumer's (key column, degree),
+    /// which the stored fragments are bucket-indexed on.
+    out_materialized: Vec<Option<(usize, usize)>>,
     /// Per-stage input receivers (taken when the stages spawn).
     stage_rx: Vec<Vec<Receiver<Msg>>>,
     /// Per-stage output senders; `None` for the last stage (it feeds the
@@ -530,7 +573,7 @@ impl QueryRun<'_> {
             self.stream_rx.remove(&(op.id, 0)),
             self.stream_rx.remove(&(op.id, 1)),
         ];
-        let mut mat_fragments: [Option<Vec<Arc<Relation>>>; 2] = [None, None];
+        let mut mat_fragments: [Option<Vec<Arc<StoredFragment>>>; 2] = [None, None];
         for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
             if let OperandSource::Materialized { from } = operand {
                 let frags = self.store.collect(&format!("{}op{from}", self.ns));
@@ -546,7 +589,7 @@ impl QueryRun<'_> {
         let out = self.out_stream.remove(&op.id);
         // The sink op (no stream consumer, no materializing consumer)
         // feeds the client's result channel.
-        let client = if out.is_none() && !self.out_materialized[op.id] {
+        let client = if out.is_none() && self.out_materialized[op.id].is_none() {
             debug_assert_eq!(op.join, root_join, "only the root op feeds the client");
             Some(self.client.take().ok_or_else(|| {
                 RelalgError::InvalidPlan("plan has more than one sink operation".into())
@@ -560,21 +603,20 @@ impl QueryRun<'_> {
         for i in 0..degree {
             let mut sources: Vec<Source> = Vec::with_capacity(2);
             for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
-                let key_col = if side == 0 {
-                    spec.left_key
-                } else {
-                    spec.right_key
-                };
                 let source = match operand {
                     OperandSource::Base { .. } => {
-                        Source::Local(self.base_fragments[&(op.id, side)][i].clone())
+                        let base = self.base_scans.get(&(op.id, side)).ok_or_else(|| {
+                            RelalgError::InvalidPlan(format!("op {} lost its base scan", op.id))
+                        })?;
+                        Source::Scan(vec![base.instance(i)])
                     }
-                    OperandSource::Materialized { .. } => Source::Filtered {
-                        fragments: mat_fragments[side].clone().expect("collected above"),
-                        key_col,
-                        bucket: i,
-                        of: degree,
-                    },
+                    OperandSource::Materialized { .. } => Source::Scan(
+                        mat_fragments[side]
+                            .iter()
+                            .flatten()
+                            .map(|f| f.scan(i))
+                            .collect(),
+                    ),
                     OperandSource::Stream { from } => Source::Stream {
                         rx: rxs[side].as_mut().expect("channels created")[i].clone(),
                         producers: self.plan.ops[*from].degree(),
@@ -585,22 +627,23 @@ impl QueryRun<'_> {
             let right = sources.pop().expect("two sides");
             let left = sources.pop().expect("two sides");
 
-            let output = match &out {
-                Some((txs, key_col, pool)) => OutputPort::Stream(Router::new(
+            let output = match (&out, self.out_materialized[op.id]) {
+                (Some((txs, key_col, pool)), _) => OutputPort::Stream(Router::new(
                     txs.clone(),
                     *key_col,
                     self.config.batch_size,
                     pool.clone(),
                 )),
-                None if self.out_materialized[op.id] => OutputPort::Materialize {
+                (None, Some((key_col, of))) => OutputPort::Materialize {
                     store: self.store.clone(),
                     proc: op.procs[i],
                     name: format!("{}op{}", self.ns, op.id),
-                    schema: self.binding.schema(op.join)?.clone(),
-                    buffer: Vec::new(),
+                    buffer: ColumnBatch::for_schema(self.binding.schema(op.join)?),
+                    key_col,
+                    of,
                     budget: Some(self.ctrl.budget().clone()),
                 },
-                None => {
+                (None, None) => {
                     let (tx, bpool) = client.as_ref().expect("taken above");
                     OutputPort::Client(ClientSink::new(
                         tx.clone(),
@@ -771,7 +814,7 @@ impl QueryRun<'_> {
 fn run_query(
     plan: &ParallelPlan,
     binding: &QueryBinding,
-    provider: &dyn RelationProvider,
+    catalog: &Catalog,
     config: &ExecConfig,
     opts: &QueryOptions,
     pool: &WorkerPool,
@@ -790,61 +833,55 @@ fn run_query(
     let ns = format!("q{query_id}:");
     store.ensure_nodes(plan.processors);
 
-    // --- Late materialization (planning-time rewrite). When eligible,
-    // the join pipeline runs on narrow ref-carrying relations bound by
-    // `late.narrow`, the full-width payloads stay pinned in the rewrite's
-    // registry (charged to the budget below), and the root join's tasks
-    // resolve refs back to the original schema — so everything from the
-    // root's output port on (stages, client channel) is untouched.
-    let late = crate::late::plan_late(plan, binding, provider, config.late)?;
-    let exec_binding: &QueryBinding = late.as_ref().map_or(binding, |l| &l.narrow);
-    let pinned_bytes = late.as_ref().map_or(0, |l| l.pinned_bytes);
-    if pinned_bytes > 0 && !ctrl.budget().charge(pinned_bytes) {
-        ctrl.abort(ctrl.budget().exhausted_error());
-    }
+    // --- Setup (not timed): bind every base operand to the catalog's
+    // column-resident copy. The ideal fragmentation of §4.1 is already
+    // there — the cached bucket lists of (relation, key column, degree),
+    // computed once per catalog generation — so a base scan is just a
+    // selection vector over stored columns. Pushed-down filters are not
+    // evaluated here: each instance applies its relation's filter to its
+    // own bucket when it first reads it.
+    let residents = residents(plan, catalog)?;
 
-    // --- Setup (not timed): ideal base fragmentation per §4.1. ---
-    // Pushed-down filters run here, against the base relations themselves:
-    // a zero-copy index gather keeps only the surviving rows (payloads
-    // shared, not copied), so partitioning, streams, and the joins all see
-    // the reduced inputs — the whole point of pushdown.
-    let mut filtered_bases: HashMap<&str, Arc<Relation>> = HashMap::new();
-    let mut base_fragments: HashMap<(usize, usize), Vec<Arc<Relation>>> = HashMap::new();
+    // Late materialization (planning-time rewrite). When eligible, the
+    // join pipeline runs on narrow ref-carrying scans bound by
+    // `late.narrow`, the stored batches stay pinned in the rewrite's
+    // registry, and the root join's tasks resolve refs back to the
+    // original schema — so everything from the root's output port on
+    // (stages, client channel) is untouched.
+    let late = crate::late::plan_late(plan, binding, &residents, config.late)?;
+    let exec_binding: &QueryBinding = late.as_ref().map_or(binding, |l| &l.narrow);
+
+    let mut base_scans: HashMap<(usize, usize), BaseScan> = HashMap::new();
     for op in &plan.ops {
         let spec = exec_binding.spec(op.join)?;
         for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
-            if let OperandSource::Base { relation } = operand {
-                let key_col = if side == 0 {
-                    spec.left_key
-                } else {
-                    spec.right_key
-                };
-                // A late plan scans the synthesized narrow relations
-                // (scan filters already applied, in original leaf
-                // coordinates, when they were built).
-                let rel = match &late {
-                    Some(l) => l.relations.get(relation).cloned().ok_or_else(|| {
-                        RelalgError::InvalidPlan(format!("late plan lost relation {relation}"))
-                    })?,
-                    None => match binding.scan_filter(relation) {
-                        Some(pred) => match filtered_bases.get(relation.as_str()) {
-                            Some(cached) => cached.clone(),
-                            None => {
-                                let base = provider.relation(relation)?;
-                                let filtered = Arc::new(filter_gather(&base, pred)?);
-                                filtered_bases.insert(relation.as_str(), filtered.clone());
-                                filtered
-                            }
-                        },
-                        None => provider.relation(relation)?,
-                    },
-                };
-                let frags = hash_partition(&rel, op.degree(), key_col)?
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect();
-                base_fragments.insert((op.id, side), frags);
+            let OperandSource::Base { relation } = operand else {
+                continue;
+            };
+            let resident = residents
+                .get(relation)
+                .ok_or_else(|| RelalgError::UnknownRelation(relation.clone()))?;
+            let mut key_col = if side == 0 {
+                spec.left_key
+            } else {
+                spec.right_key
+            };
+            // A late plan scans the narrow shape; its key column indexes
+            // the narrow leaf, the bucket lists the stored column.
+            let narrow = late.as_ref().and_then(|l| l.leaves.get(relation).cloned());
+            if let Some(n) = &narrow {
+                key_col = *n.cols.get(key_col).ok_or_else(|| {
+                    RelalgError::InvalidPlan(format!("late plan lost the key of {relation}"))
+                })?;
             }
+            let buckets = match op.degree() {
+                1 => None,
+                of => Some(resident.buckets(key_col, of)?),
+            };
+            let scan = ColumnScan::new(resident.columns()?.clone())
+                .filter(binding.scan_filter(relation).cloned().map(Arc::new))
+                .narrow(narrow);
+            base_scans.insert((op.id, side), BaseScan { scan, buckets });
         }
     }
 
@@ -853,7 +890,7 @@ fn run_query(
     // endpoint degrees.
     let mut stream_rx: HashMap<(usize, usize), Vec<Receiver<Msg>>> = HashMap::new();
     let mut out_stream: OutStreams = HashMap::new();
-    let mut out_materialized: Vec<bool> = vec![false; n_ops];
+    let mut out_materialized: Vec<Option<(usize, usize)>> = vec![None; n_ops];
     for op in &plan.ops {
         let spec = exec_binding.spec(op.join)?;
         for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
@@ -882,7 +919,7 @@ fn run_query(
                     }
                 }
                 OperandSource::Materialized { from } => {
-                    out_materialized[*from] = true;
+                    out_materialized[*from] = Some((key_col, op.degree()));
                 }
                 OperandSource::Base { .. } => {}
             }
@@ -971,7 +1008,7 @@ fn run_query(
         ctrl,
         ns: ns.clone(),
         priorities,
-        base_fragments,
+        base_scans,
         stream_rx,
         out_stream,
         out_materialized,
@@ -1098,13 +1135,7 @@ fn run_query(
     // The query is quiescent: every submitted instance has reported.
     // Reclaim its namespace in the shared store, crediting the freed
     // fragment bytes back to the query's budget.
-    let freed = store.remove_prefix(&ns);
-    ctrl.budget().credit(freed as u64);
-    // The pinned payload registry dies with the query (the resolver Arcs
-    // dropped as the tasks completed); return its charge too.
-    if pinned_bytes > 0 {
-        ctrl.budget().credit(pinned_bytes);
-    }
+    ctrl.budget().credit(store.remove_prefix(&ns));
     run.metrics.peak_bytes = ctrl.budget().peak();
     run.metrics.panics_contained = ctrl.panics();
 

@@ -231,7 +231,8 @@ impl QueryCtrl {
 #[derive(Clone, Debug)]
 pub struct QueryOutcome {
     /// Response time: scheduling start to last operation-process exit (the
-    /// paper's metric; base fragmentation is setup, not response time).
+    /// paper's metric; base relations start column-resident and ideally
+    /// fragmented by cached bucket lists, as §4.1 assumes).
     pub elapsed: Duration,
     /// End-to-end time from submission to the client pulling the first
     /// result batch off the stream; `None` when no batch was delivered
@@ -457,6 +458,11 @@ impl QueryHandle {
     /// The query's current lifecycle state.
     pub fn status(&self) -> QueryStatus {
         self.ctrl.status()
+    }
+
+    /// The query's memory budget: bytes charged now, the peak, the limit.
+    pub fn budget(&self) -> Arc<MemoryBudget> {
+        self.ctrl.budget().clone()
     }
 
     /// Waits for the query to quiesce and returns its outcome. If the

@@ -6,22 +6,25 @@
 //! so a payload byte crosses the pipeline O(k) times. The late plan
 //! rewrites every base relation to its **narrow** form: the join-key
 //! columns (kept dense, so probing is unchanged) plus one packed row
-//! reference per leaf ([`pack_ref`]: `(source, row)` in a `u64`). Joins
-//! then move only keys and refs; the full-width payload batches stay
-//! pinned in a per-query [`FragmentRegistry`], and a single column-wise
-//! gather at the pipeline root resolves the *surviving* refs — each
-//! payload byte is touched exactly once, and only for rows that made it
-//! through every join.
+//! reference per leaf ([`pack_ref`](mj_storage::pack_ref): `(source, row)`
+//! in a `u64`). Joins then move only keys and refs; the catalog's
+//! column-resident batches stay pinned in a per-query
+//! [`FragmentRegistry`], and a single column-wise gather at the pipeline
+//! root resolves the *surviving* refs — each payload byte is touched
+//! exactly once, and only for rows that made it through every join.
 //!
 //! The rewrite is purely a planning-time transformation: [`plan_late`]
 //! derives a narrow [`QueryBinding`] (same tree, same operators, identity
-//! projections over the narrow concatenations), synthesizes the narrow
-//! base relations, and builds the [`Resolver`] that maps the narrow root
-//! output back to the original root schema. The engine swaps the narrow
-//! binding in for operator wiring, attaches the resolver to the root
-//! join's tasks, and leaves everything downstream of the root (pipeline
-//! stages, client channel) on the original schema — late materialization
-//! is invisible outside the join pipeline.
+//! projections over the narrow concatenations), the [`Narrow`] shape of
+//! every leaf scan, and the [`Resolver`] that maps the narrow root output
+//! back to the original root schema. Nothing is copied: a narrow scan
+//! reads the stored key columns in place and synthesizes each ref from the
+//! stored row index, and the registry pins the stored batches themselves
+//! (catalog-resident, so they are charged to no query's budget). The
+//! engine swaps the narrow binding in for operator wiring, attaches the
+//! resolver to the root join's tasks, and leaves everything downstream of
+//! the root (pipeline stages, client channel) on the original schema —
+//! late materialization is invisible outside the join pipeline.
 //!
 //! Eligibility is governed by [`LateMode`](crate::config::LateMode):
 //! `Auto` demands at least two joins *and* a narrow root row at most 0.8×
@@ -35,15 +38,12 @@ use std::sync::Arc;
 use mj_core::plan_ir::ParallelPlan;
 use mj_plan::tree::{NodeId, TreeNode};
 use mj_relalg::column::{columnar_row_bytes, ColumnBatch, ColumnLayout};
-use mj_relalg::ops::filter_gather;
-use mj_relalg::{
-    Attribute, EquiJoin, Projection, RelalgError, Relation, RelationProvider, Result, Schema,
-    Tuple, Value,
-};
-use mj_storage::{pack_ref, ref_row, FragmentRegistry};
+use mj_relalg::{Attribute, EquiJoin, Projection, RelalgError, Result, Schema};
+use mj_storage::{ref_row, FragmentRegistry, Narrow};
 
 use crate::binding::QueryBinding;
 use crate::config::LateMode;
+use crate::engine::Residents;
 
 /// One column of the resolver's materialization plan: how original root
 /// output column `j` is produced from the narrow root output.
@@ -128,16 +128,14 @@ impl Resolver {
 /// Everything the engine needs to run a query late-materialized.
 pub(crate) struct LateRewrite {
     /// Narrow binding: same stages, narrow join specs and node schemas,
-    /// no scan filters (already applied to the narrow relations).
+    /// no scan filters (the engine applies the original binding's filters
+    /// to the stored columns before narrowing).
     pub narrow: QueryBinding,
-    /// Narrow base relations by catalog name (scan filters pre-applied;
-    /// row `i` of a narrow relation refs row `i` of its pinned payload).
-    pub relations: HashMap<String, Arc<Relation>>,
-    /// The root-side resolver over the pinned payload batches.
+    /// Narrow scan shape of every base relation by catalog name: the
+    /// stored columns kept dense, then the ref into the pinned batch.
+    pub leaves: HashMap<String, Arc<Narrow>>,
+    /// The root-side resolver over the pinned stored batches.
     pub resolver: Arc<Resolver>,
-    /// Logical bytes pinned by the registry — charged to the query's
-    /// memory budget for the query's lifetime.
-    pub pinned_bytes: u64,
 }
 
 /// Per-leaf narrow output column: a still-dense original leaf column or
@@ -161,7 +159,7 @@ struct NCol {
 pub(crate) fn plan_late(
     plan: &ParallelPlan,
     binding: &QueryBinding,
-    provider: &dyn RelationProvider,
+    residents: &Residents,
     mode: LateMode,
 ) -> Result<Option<LateRewrite>> {
     if mode == LateMode::Never || plan.ops.is_empty() {
@@ -331,40 +329,28 @@ pub(crate) fn plan_late(
         return Ok(None);
     }
 
-    // --- Materialize: pin filtered payloads, synthesize narrow relations.
-    // Refs index rows of the *filtered* payload, so filters must be
-    // applied (in original leaf coordinates) before either is built.
+    // --- Pin the stored batches the resolver gathers from, and describe
+    // each leaf scan's narrow shape. Refs index stored rows, so filters
+    // (applied by the scans, in stored coordinates) need no re-numbering.
     let mut registry = FragmentRegistry::new(names.len());
-    let mut relations: HashMap<String, Arc<Relation>> = HashMap::new();
+    let mut leaves: HashMap<String, Arc<Narrow>> = HashMap::new();
     for (sid, name) in names.iter().enumerate() {
-        let base = provider.relation(name)?;
-        let filtered: Arc<Relation> = match binding.scan_filter(name) {
-            Some(pred) => Arc::new(filter_gather(&base, pred)?),
-            None => base,
-        };
-        if filtered.len() > u32::MAX as usize {
+        let columns = residents
+            .get(*name)
+            .ok_or_else(|| RelalgError::UnknownRelation((*name).to_string()))?
+            .columns()?;
+        if columns.rows() > u32::MAX as usize {
             return Ok(None); // row index would not fit a packed ref
         }
-        let schema = narrow_leaf_schemas[sid]
-            .clone()
-            .ok_or_else(|| RelalgError::InvalidPlan("late plan: no leaf schema".into()))?;
-        let mut tuples = Vec::with_capacity(filtered.len());
-        for (row, t) in filtered.iter().enumerate() {
-            let mut vals: Vec<Value> = Vec::with_capacity(schema.arity());
-            for &c in dense[sid].iter() {
-                vals.push(t.get(c)?.clone());
-            }
-            if needs_ref[sid] {
-                vals.push(Value::Int(pack_ref(sid as u32, row as u32) as i64));
-            }
-            tuples.push(Tuple::new(vals));
-        }
-        relations.insert(
+        leaves.insert(
             (*name).to_string(),
-            Arc::new(Relation::new_unchecked(schema, tuples)),
+            Arc::new(Narrow {
+                cols: dense[sid].iter().copied().collect(),
+                ref_source: needs_ref[sid].then_some(sid as u32),
+            }),
         );
         if needs_ref[sid] {
-            registry.set(sid, Arc::new(ColumnBatch::from_relation(&filtered)?));
+            registry.set(sid, columns.clone());
         }
     }
 
@@ -400,29 +386,35 @@ pub(crate) fn plan_late(
         }
     }
 
-    let pinned_bytes = registry.est_bytes();
     let schemas: Vec<Arc<Schema>> = narrow_schemas
         .into_iter()
         .collect::<Option<Vec<_>>>()
         .ok_or_else(|| RelalgError::InvalidPlan("late plan: incomplete schemas".into()))?;
     Ok(Some(LateRewrite {
         narrow: binding.narrowed(narrow_specs, schemas),
-        relations,
+        leaves,
         resolver: Arc::new(Resolver {
             registry,
             plan: mat_plan,
             ref_cols,
             layout: ColumnLayout::of(orig_root),
         }),
-        pinned_bytes,
     }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::residents;
+    use crate::planner::PlannedQuery;
     use crate::session::{Database, DbConfig};
-    use mj_relalg::DataType;
+    use mj_relalg::{Relation, Tuple, Value};
+    use mj_storage::pack_ref;
+
+    fn late(db: &Database, planned: &PlannedQuery, mode: LateMode) -> Option<LateRewrite> {
+        let residents = residents(&planned.plan, db.catalog()).unwrap();
+        plan_late(&planned.plan, &planned.binding, &residents, mode).unwrap()
+    }
 
     fn rel(cols: &[&str], rows: usize) -> Arc<Relation> {
         let schema = Schema::new(cols.iter().map(|c| Attribute::int(*c)).collect()).shared();
@@ -449,25 +441,18 @@ mod tests {
     fn auto_rewrites_wide_chains_and_narrows_every_leaf() {
         let db = wide_db();
         let planned = db.plan(CHAIN).unwrap();
-        let late = plan_late(
-            &planned.plan,
-            &planned.binding,
-            db.catalog().as_ref(),
-            LateMode::Auto,
-        )
-        .unwrap()
-        .expect("two joins over 4-int rows must rewrite under Auto");
+        let late = late(&db, &planned, LateMode::Auto)
+            .expect("two joins over 4-int rows must rewrite under Auto");
         // Every leaf keeps only its key plus the ref column.
-        for name in ["a", "b", "c"] {
-            let narrow = late.relations.get(name).expect("narrow relation");
-            assert_eq!(narrow.schema().arity(), 2, "{name}: key + ref only");
-            assert_eq!(
-                narrow.schema().attr(1).unwrap().ty,
-                DataType::Ref,
-                "{name}: ref column last"
-            );
+        for (sid, name) in ["a", "b", "c"].iter().enumerate() {
+            let narrow = late.leaves.get(*name).expect("narrow leaf");
+            assert_eq!(narrow.cols, vec![0], "{name}: key only");
+            assert!(narrow.ref_source.is_some(), "{name}: ref column last");
+            // The registry pins the catalog's own columns: no copy.
+            let pinned = late.resolver.registry.get(sid).unwrap();
+            let stored = db.catalog().resident(name).unwrap();
+            assert!(Arc::ptr_eq(pinned, stored.columns().unwrap()), "{name}");
         }
-        assert!(late.pinned_bytes > 0, "payloads pinned for resolution");
         // The narrow root output is keys + refs; the original is 12 ints.
         let root = planned.plan.tree.root();
         assert_eq!(planned.binding.schema(root).unwrap().arity(), 12);
@@ -480,34 +465,17 @@ mod tests {
     fn never_and_single_join_auto_do_not_rewrite() {
         let db = wide_db();
         let planned = db.plan(CHAIN).unwrap();
-        let cat = db.catalog();
         assert!(
-            plan_late(
-                &planned.plan,
-                &planned.binding,
-                cat.as_ref(),
-                LateMode::Never
-            )
-            .unwrap()
-            .is_none(),
+            late(&db, &planned, LateMode::Never).is_none(),
             "Never disables the rewrite"
         );
         let single = db.plan("SELECT * FROM a JOIN b ON a.k = b.k").unwrap();
         assert!(
-            plan_late(&single.plan, &single.binding, cat.as_ref(), LateMode::Auto)
-                .unwrap()
-                .is_none(),
+            late(&db, &single, LateMode::Auto).is_none(),
             "Auto demands at least two joins"
         );
         assert!(
-            plan_late(
-                &single.plan,
-                &single.binding,
-                cat.as_ref(),
-                LateMode::Always
-            )
-            .unwrap()
-            .is_some(),
+            late(&db, &single, LateMode::Always).is_some(),
             "Always rewrites a single join when payloads can be stripped"
         );
     }
@@ -525,14 +493,7 @@ mod tests {
             .plan("SELECT * FROM x JOIN y ON x.k = y.k JOIN z ON y.k = z.k")
             .unwrap();
         assert!(
-            plan_late(
-                &planned.plan,
-                &planned.binding,
-                db.catalog().as_ref(),
-                LateMode::Auto,
-            )
-            .unwrap()
-            .is_none(),
+            late(&db, &planned, LateMode::Auto).is_none(),
             "2-col rows gain nothing from a ref rewrite"
         );
     }
@@ -547,14 +508,14 @@ mod tests {
             Attribute::int("q"),
         ])
         .shared();
-        let payload = Relation::new_unchecked(
-            payload_schema.clone(),
-            (0..6)
-                .map(|i| Tuple::from_ints(&[i, 10 * i, 100 * i]))
-                .collect(),
-        );
+        let mut payload = ColumnBatch::for_schema(&payload_schema);
+        for i in 0..6 {
+            payload
+                .push_tuple(&Tuple::from_ints(&[i, 10 * i, 100 * i]))
+                .unwrap();
+        }
         let mut registry = FragmentRegistry::new(1);
-        registry.set(0, Arc::new(ColumnBatch::from_relation(&payload).unwrap()));
+        registry.set(0, Arc::new(payload));
         let resolver = Resolver {
             registry,
             plan: vec![

@@ -7,8 +7,9 @@
 //! ([`sched::WorkerPool`], the paper's §4 processor set) shared by all
 //! in-flight queries, tuple streams are bounded crossbeam channels (n×m
 //! per redistribution, exactly as §3.5 counts them), base relations are
-//! pre-fragmented "ideally" per §4.1, and materialized intermediates live
-//! in a shared-nothing [`mj_storage::FragmentStore`] namespaced per query.
+//! column-resident and "ideally" fragmented per §4.1 by cached hash-bucket
+//! row lists, and materialized intermediates live as columns in a
+//! shared-nothing [`mj_storage::FragmentStore`] namespaced per query.
 //!
 //! A task that would block on a channel yields its worker instead of
 //! parking a thread, so the pool runs any number of concurrent queries on

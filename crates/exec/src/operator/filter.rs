@@ -1,10 +1,10 @@
 //! The selection operator: a predicate over the stream, with an optional
 //! output projection.
 //!
-//! Filters pushed below the joins never reach this operator — the engine
-//! evaluates them against base relations during setup (a selection-vector
-//! scan, [`filter_selection`](mj_relalg::ops::filter_selection)) so
-//! partitioning and the joins see fewer tuples. [`FilterOp`] is the
+//! Filters pushed below the joins never reach this operator — each base
+//! scan evaluates them over the stored columns (a selection vector
+//! intersected with the instance's bucket rows,
+//! [`ColumnScan`](mj_storage::ColumnScan)) so the joins see fewer tuples. [`FilterOp`] is the
 //! *residual* form: predicates the planner kept above the joins (pushdown
 //! disabled, or benchmark comparisons) run here over the root join's
 //! output stream. Each batch is evaluated by the branch-free columnar

@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use mj_core::plan_ir::ProcId;
 use mj_relalg::column::ColumnBatch;
-use mj_relalg::{Relation, Result, Schema, Tuple};
-use mj_storage::FragmentStore;
+use mj_relalg::Result;
+use mj_storage::{FragmentStore, StoredFragment};
 use parking_lot::Mutex;
 
 use crate::stream::{ClientSink, Router};
@@ -16,6 +16,9 @@ pub enum OutputPort {
     Stream(Router),
     /// Store the output fragment in this processor's memory (the consumer
     /// reads it later — SP/SE materialization and RD inter-wave edges).
+    /// The fragment stays columnar: rows are appended column-wise and the
+    /// finished batch is frozen into the store together with its bucket
+    /// index over the consumer's key.
     Materialize {
         /// Shared node-memory store.
         store: Arc<FragmentStore>,
@@ -23,10 +26,13 @@ pub enum OutputPort {
         proc: ProcId,
         /// Fragment name (`op{id}`).
         name: String,
-        /// Output schema.
-        schema: Arc<Schema>,
-        /// Accumulated tuples.
-        buffer: Vec<Tuple>,
+        /// Accumulated rows, typed with the output schema's layout.
+        buffer: ColumnBatch,
+        /// The consumer's key column, which the stored fragment is
+        /// bucket-indexed on.
+        key_col: usize,
+        /// The consumer's degree (number of buckets).
+        of: usize,
         /// The owning query's memory budget: the stored fragment's bytes
         /// are charged on write and credited back when the coordinator
         /// reclaims the query's namespace.
@@ -37,38 +43,15 @@ pub enum OutputPort {
     /// channel, so results flow before the query completes and a slow
     /// client backpressures the pool.
     Client(ClientSink),
-    /// A buffered collection sink (the dedicated-thread `run_*_instance`
-    /// drivers used by unit tests and benches).
+    /// A columnar collection sink (the dedicated-thread `run_*_instance`
+    /// drivers used by unit tests).
     Sink {
         /// Shared collection buffer.
-        collected: Arc<Mutex<Vec<Tuple>>>,
-        /// Local accumulation to amortize locking.
-        buffer: Vec<Tuple>,
+        collected: Arc<Mutex<ColumnBatch>>,
     },
 }
 
 impl OutputPort {
-    /// Emits a batch of result tuples, blocking on stream backpressure
-    /// (dedicated-thread path).
-    pub fn emit(&mut self, tuples: &mut Vec<Tuple>) -> Result<()> {
-        match self {
-            OutputPort::Stream(router) => {
-                for t in tuples.drain(..) {
-                    router.route(t)?;
-                }
-            }
-            OutputPort::Client(sink) => {
-                for t in tuples.drain(..) {
-                    sink.push(t)?;
-                }
-            }
-            OutputPort::Materialize { buffer, .. } | OutputPort::Sink { buffer, .. } => {
-                buffer.append(tuples);
-            }
-        }
-        Ok(())
-    }
-
     /// Non-blocking columnar emit of rows `*pos..` of `out` (worker-pool
     /// path). Returns the number of rows emitted and whether the backlog
     /// fully drained; on a full drain `out` is cleared (keeping its column
@@ -79,12 +62,9 @@ impl OutputPort {
         let (emitted, done) = match self {
             OutputPort::Stream(router) => router.try_route_batch(out, pos)?,
             OutputPort::Client(sink) => sink.try_append_batch(out, pos)?,
-            OutputPort::Materialize { buffer, .. } | OutputPort::Sink { buffer, .. } => {
-                let n = out.rows() - *pos;
-                // Row materialization happens here — at the store/sink
-                // boundary, not inside the operators.
-                out.rows_into(*pos..out.rows(), buffer)?;
-                (n as u64, true)
+            OutputPort::Materialize { buffer, .. } => (append_rest(buffer, out, *pos)?, true),
+            OutputPort::Sink { collected } => {
+                (append_rest(&mut collected.lock(), out, *pos)?, true)
             }
         };
         if done {
@@ -107,43 +87,35 @@ impl OutputPort {
                 store,
                 proc,
                 name,
-                schema,
                 buffer,
+                key_col,
+                of,
                 budget,
             } => {
-                let fragment = Arc::new(Relation::new_unchecked(
-                    schema.clone(),
-                    std::mem::take(buffer),
-                ));
+                let columns = std::mem::take(buffer);
+                let fragment = Arc::new(StoredFragment::new(columns, *key_col, *of)?);
                 if let Some(budget) = budget {
                     // Charge unconditionally; enforcement happens at the
                     // consuming tasks' next budget poll. The coordinator
-                    // credits these bytes back via `remove_prefix`.
-                    budget.charge(fragment.est_bytes() as u64);
+                    // credits exactly these bytes back via `remove_prefix`.
+                    budget.charge(fragment.bytes());
                 }
                 store.put(*proc, name.clone(), fragment)?;
                 Ok(true)
             }
-            OutputPort::Sink { collected, buffer } => {
-                collected.lock().append(buffer);
-                Ok(true)
-            }
+            OutputPort::Sink { .. } => Ok(true),
         }
     }
+}
 
-    /// Finalizes the port, blocking on stream backpressure: flush + End
-    /// for streams, store write for materialization, sink merge for the
-    /// root (dedicated-thread path).
-    pub fn finish(self) -> Result<()> {
-        match self {
-            OutputPort::Stream(router) => router.finish(),
-            OutputPort::Client(mut sink) => sink.finish_blocking(),
-            mut other => {
-                other.try_finish()?;
-                Ok(())
-            }
-        }
+/// Appends rows `pos..` of `out` to `dst`, returning how many. An empty
+/// (possibly still shapeless) backlog appends nothing.
+fn append_rest(dst: &mut ColumnBatch, out: &ColumnBatch, pos: usize) -> Result<u64> {
+    let n = out.rows() - pos;
+    if n > 0 {
+        dst.append_rows(out, pos..out.rows())?;
     }
+    Ok(n as u64)
 }
 
 #[cfg(test)]
@@ -151,57 +123,73 @@ mod tests {
     use super::*;
     use crate::stream::{operand_channels, Msg};
     use mj_relalg::column::ColumnLayout;
-    use mj_relalg::Attribute;
+    use mj_relalg::Tuple;
 
-    fn schema() -> Arc<Schema> {
-        Schema::new(vec![Attribute::int("k")]).shared()
+    fn batch(keys: &[i64]) -> ColumnBatch {
+        let mut out = ColumnBatch::with_capacity(&ColumnLayout::ints(1), keys.len());
+        for &k in keys {
+            out.push_tuple(&Tuple::from_ints(&[k])).unwrap();
+        }
+        out
+    }
+
+    fn materialize(store: &Arc<FragmentStore>, proc: ProcId, name: &str, of: usize) -> OutputPort {
+        OutputPort::Materialize {
+            store: store.clone(),
+            proc,
+            name: name.into(),
+            buffer: ColumnBatch::with_capacity(&ColumnLayout::ints(1), 0),
+            key_col: 0,
+            of,
+            budget: None,
+        }
+    }
+
+    /// Emits all of `out` through `port` and finalizes it.
+    fn emit_all(port: &mut OutputPort, mut out: ColumnBatch) {
+        let mut pos = 0;
+        let rows = out.rows() as u64;
+        assert_eq!(port.try_emit(&mut out, &mut pos).unwrap(), (rows, true));
+        assert!(port.try_finish().unwrap());
     }
 
     #[test]
     fn sink_collects() {
-        let collected = Arc::new(Mutex::new(Vec::new()));
+        let collected = Arc::new(Mutex::new(ColumnBatch::shapeless()));
         let mut port = OutputPort::Sink {
             collected: collected.clone(),
-            buffer: Vec::new(),
         };
-        port.emit(&mut vec![Tuple::from_ints(&[1]), Tuple::from_ints(&[2])])
-            .unwrap();
-        port.finish().unwrap();
-        assert_eq!(collected.lock().len(), 2);
+        emit_all(&mut port, batch(&[1, 2]));
+        assert_eq!(collected.lock().rows(), 2);
     }
 
     #[test]
     fn sink_materializes_columnar_emits() {
-        let collected = Arc::new(Mutex::new(Vec::new()));
+        let collected = Arc::new(Mutex::new(ColumnBatch::shapeless()));
         let mut port = OutputPort::Sink {
             collected: collected.clone(),
-            buffer: Vec::new(),
         };
-        let mut out = ColumnBatch::shapeless();
-        out.push_tuple(&Tuple::from_ints(&[5])).unwrap();
-        out.push_tuple(&Tuple::from_ints(&[6])).unwrap();
+        let mut out = batch(&[5, 6]);
         let mut pos = 0;
         let (n, done) = port.try_emit(&mut out, &mut pos).unwrap();
         assert_eq!((n, done, pos), (2, true, 0));
         assert!(out.is_empty(), "drained emit clears the batch");
-        port.finish().unwrap();
-        assert_eq!(collected.lock().len(), 2);
+        assert!(port.try_finish().unwrap());
+        assert_eq!(collected.lock().int_col(0).unwrap(), &[5, 6]);
     }
 
     #[test]
     fn materialize_stores_fragment() {
         let store = Arc::new(FragmentStore::new(2));
-        let mut port = OutputPort::Materialize {
-            store: store.clone(),
-            proc: 1,
-            name: "op0".into(),
-            schema: schema(),
-            buffer: Vec::new(),
-            budget: None,
-        };
-        port.emit(&mut vec![Tuple::from_ints(&[7])]).unwrap();
-        port.finish().unwrap();
-        assert_eq!(store.get(1, "op0").unwrap().len(), 1);
+        let mut port = materialize(&store, 1, "op0", 1);
+        emit_all(&mut port, batch(&[7]));
+        let stored = store.get(1, "op0").unwrap();
+        assert_eq!(stored.rows(), 1);
+        assert_eq!(
+            stored.columns().int_col(0).unwrap(),
+            &[7],
+            "stored as columns"
+        );
         assert!(store.get(0, "op0").is_err());
     }
 
@@ -209,30 +197,30 @@ mod tests {
     fn materialize_charges_budget_for_stored_fragment() {
         let store = Arc::new(FragmentStore::new(1));
         let budget = crate::budget::MemoryBudget::unlimited();
-        let mut port = OutputPort::Materialize {
-            store: store.clone(),
-            proc: 0,
-            name: "q1:op0".into(),
-            schema: schema(),
-            buffer: Vec::new(),
-            budget: Some(budget.clone()),
-        };
-        port.emit(&mut vec![Tuple::from_ints(&[7]), Tuple::from_ints(&[8])])
-            .unwrap();
-        port.finish().unwrap();
-        let stored = store.get(0, "q1:op0").unwrap().est_bytes() as u64;
-        assert_eq!(budget.used(), stored);
-        let freed = store.remove_prefix("q1:") as u64;
-        assert_eq!(freed, stored, "reclamation reports the bytes to credit");
+        let mut port = materialize(&store, 0, "q1:op0", 4);
+        if let OutputPort::Materialize { budget: b, .. } = &mut port {
+            *b = Some(budget.clone());
+        }
+        emit_all(&mut port, batch(&[7, 8, 9]));
+        let stored = store.get(0, "q1:op0").unwrap();
+        // Column capacity plus the bucket index over the consumer's key.
+        assert!(stored.bytes() > stored.columns().capacity_bytes());
+        assert_eq!(budget.used(), stored.bytes());
+        let freed = store.remove_prefix("q1:");
+        assert_eq!(
+            freed,
+            stored.bytes(),
+            "reclamation reports the bytes to credit"
+        );
+        budget.credit(freed);
+        assert_eq!(budget.used(), 0);
     }
 
     #[test]
     fn stream_forwards_and_ends() {
         let (txs, rxs, pool) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
         let mut port = OutputPort::Stream(Router::new(txs, 0, 2, pool));
-        let mut out = ColumnBatch::shapeless();
-        out.push_tuple(&Tuple::from_ints(&[1])).unwrap();
-        out.push_tuple(&Tuple::from_ints(&[2])).unwrap();
+        let mut out = batch(&[1, 2]);
         let mut pos = 0;
         let (n, done) = port.try_emit(&mut out, &mut pos).unwrap();
         assert_eq!((n, done), (2, true));

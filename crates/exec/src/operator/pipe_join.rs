@@ -47,17 +47,18 @@ pub fn run_pipelining_instance(
 mod tests {
     use super::*;
     use crate::stream::{operand_channels, Router};
-    use mj_relalg::column::ColumnLayout;
-    use mj_relalg::{Attribute, Projection, Relation, Schema, Tuple};
+    use mj_relalg::column::{ColumnBatch, ColumnLayout};
+    use mj_relalg::{Projection, Tuple};
+    use mj_storage::ColumnScan;
     use parking_lot::Mutex;
     use std::sync::Arc;
 
-    fn rel(rows: &[[i64; 2]]) -> Arc<Relation> {
-        let schema = Schema::new(vec![Attribute::int("k"), Attribute::int("v")]).shared();
-        Arc::new(Relation::new_unchecked(
-            schema,
-            rows.iter().map(|r| Tuple::from_ints(r)).collect(),
-        ))
+    fn local(rows: &[[i64; 2]]) -> Source {
+        let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(2), rows.len());
+        for r in rows {
+            cols.push_tuple(&Tuple::from_ints(r)).unwrap();
+        }
+        Source::Scan(vec![ColumnScan::new(Arc::new(cols))])
     }
 
     fn spec() -> EquiJoin {
@@ -66,26 +67,25 @@ mod tests {
 
     #[test]
     fn both_local() {
-        let collected = Arc::new(Mutex::new(Vec::new()));
+        let collected = Arc::new(Mutex::new(ColumnBatch::shapeless()));
         let stats = run_pipelining_instance(
             spec(),
-            Source::Local(rel(&[[1, 10], [2, 20], [3, 30]])),
-            Source::Local(rel(&[[2, 200], [3, 300], [4, 400]])),
+            local(&[[1, 10], [2, 20], [3, 30]]),
+            local(&[[2, 200], [3, 300], [4, 400]]),
             OutputPort::Sink {
                 collected: collected.clone(),
-                buffer: Vec::new(),
             },
             2,
         )
         .unwrap();
         assert_eq!(stats.tuples_in, [3, 3]);
-        assert_eq!(collected.lock().len(), 2);
+        assert_eq!(collected.lock().rows(), 2);
     }
 
     #[test]
     fn local_left_streamed_right() {
         let (txs, rxs, pool) = operand_channels(1, 1, 4, ColumnLayout::ints(2));
-        let collected = Arc::new(Mutex::new(Vec::new()));
+        let collected = Arc::new(Mutex::new(ColumnBatch::shapeless()));
         let producer = std::thread::spawn(move || {
             let mut router = Router::new(txs, 0, 2, pool);
             for k in 0..10i64 {
@@ -95,28 +95,27 @@ mod tests {
         });
         let stats = run_pipelining_instance(
             spec(),
-            Source::Local(rel(&[[4, 40], [5, 50]])),
+            local(&[[4, 40], [5, 50]]),
             Source::Stream {
                 rx: rxs.into_iter().next().unwrap(),
                 producers: 1,
             },
             OutputPort::Sink {
                 collected: collected.clone(),
-                buffer: Vec::new(),
             },
             3,
         )
         .unwrap();
         producer.join().unwrap();
         assert_eq!(stats.tuples_in, [2, 10]);
-        assert_eq!(collected.lock().len(), 2);
+        assert_eq!(collected.lock().rows(), 2);
     }
 
     #[test]
     fn two_streams_from_concurrent_producers() {
         let (ltxs, lrxs, lpool) = operand_channels(1, 1, 4, ColumnLayout::ints(2));
         let (rtxs, rrxs, rpool) = operand_channels(1, 1, 4, ColumnLayout::ints(2));
-        let collected = Arc::new(Mutex::new(Vec::new()));
+        let collected = Arc::new(Mutex::new(ColumnBatch::shapeless()));
         let lp = std::thread::spawn(move || {
             let mut router = Router::new(ltxs, 0, 2, lpool);
             for k in 0..100i64 {
@@ -143,7 +142,6 @@ mod tests {
             },
             OutputPort::Sink {
                 collected: collected.clone(),
-                buffer: Vec::new(),
             },
             8,
         )
@@ -151,6 +149,6 @@ mod tests {
         lp.join().unwrap();
         rp.join().unwrap();
         assert_eq!(stats.tuples_in, [100, 100]);
-        assert_eq!(collected.lock().len(), 50, "keys 50..100 overlap");
+        assert_eq!(collected.lock().rows(), 50, "keys 50..100 overlap");
     }
 }

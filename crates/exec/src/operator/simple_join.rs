@@ -46,17 +46,18 @@ pub fn run_simple_instance(
 mod tests {
     use super::*;
     use crate::stream::{operand_channels, Router};
-    use mj_relalg::column::ColumnLayout;
-    use mj_relalg::{Attribute, Projection, Relation, Schema, Tuple};
+    use mj_relalg::column::{ColumnBatch, ColumnLayout};
+    use mj_relalg::{Projection, Tuple};
+    use mj_storage::ColumnScan;
     use parking_lot::Mutex;
     use std::sync::Arc;
 
-    fn rel(rows: &[[i64; 2]]) -> Arc<Relation> {
-        let schema = Schema::new(vec![Attribute::int("k"), Attribute::int("v")]).shared();
-        Arc::new(Relation::new_unchecked(
-            schema,
-            rows.iter().map(|r| Tuple::from_ints(r)).collect(),
-        ))
+    fn local(rows: &[[i64; 2]]) -> Source {
+        let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(2), rows.len());
+        for r in rows {
+            cols.push_tuple(&Tuple::from_ints(r)).unwrap();
+        }
+        Source::Scan(vec![ColumnScan::new(Arc::new(cols))])
     }
 
     fn spec() -> EquiJoin {
@@ -65,28 +66,27 @@ mod tests {
 
     #[test]
     fn local_build_local_probe() {
-        let collected = Arc::new(Mutex::new(Vec::new()));
+        let collected = Arc::new(Mutex::new(ColumnBatch::shapeless()));
         let stats = run_simple_instance(
             spec(),
-            Source::Local(rel(&[[1, 10], [2, 20]])),
-            Source::Local(rel(&[[2, 200], [3, 300]])),
+            local(&[[1, 10], [2, 20]]),
+            local(&[[2, 200], [3, 300]]),
             OutputPort::Sink {
                 collected: collected.clone(),
-                buffer: Vec::new(),
             },
             4,
         )
         .unwrap();
         assert_eq!(stats.tuples_in, [2, 2]);
         assert_eq!(stats.tuples_out, 1);
-        assert_eq!(collected.lock().len(), 1);
+        assert_eq!(collected.lock().rows(), 1);
         assert!(stats.table_bytes > 0);
     }
 
     #[test]
     fn streamed_probe() {
         let (txs, rxs, pool) = operand_channels(1, 1, 8, ColumnLayout::ints(2));
-        let collected = Arc::new(Mutex::new(Vec::new()));
+        let collected = Arc::new(Mutex::new(ColumnBatch::shapeless()));
         // Producer thread: sends 5 probe tuples then End.
         let producer = std::thread::spawn(move || {
             let mut router = Router::new(txs, 0, 2, pool);
@@ -97,38 +97,34 @@ mod tests {
         });
         let stats = run_simple_instance(
             spec(),
-            Source::Local(rel(&[[1, 10], [3, 30], [9, 90]])),
+            local(&[[1, 10], [3, 30], [9, 90]]),
             Source::Stream {
                 rx: rxs.into_iter().next().unwrap(),
                 producers: 1,
             },
             OutputPort::Sink {
                 collected: collected.clone(),
-                buffer: Vec::new(),
             },
             2,
         )
         .unwrap();
         producer.join().unwrap();
         assert_eq!(stats.tuples_in[1], 5);
-        assert_eq!(collected.lock().len(), 2, "keys 1 and 3 match");
+        assert_eq!(collected.lock().rows(), 2, "keys 1 and 3 match");
     }
 
     #[test]
     fn streamed_build_is_rejected() {
         let (_txs, rxs, _pool) = operand_channels(1, 1, 1, ColumnLayout::ints(2));
-        let collected = Arc::new(Mutex::new(Vec::new()));
+        let collected = Arc::new(Mutex::new(ColumnBatch::shapeless()));
         let r = run_simple_instance(
             spec(),
             Source::Stream {
                 rx: rxs.into_iter().next().unwrap(),
                 producers: 1,
             },
-            Source::Local(rel(&[])),
-            OutputPort::Sink {
-                collected,
-                buffer: Vec::new(),
-            },
+            local(&[]),
+            OutputPort::Sink { collected },
             2,
         );
         assert!(r.is_err());

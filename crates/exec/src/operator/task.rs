@@ -34,8 +34,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, TryRecvError};
 use mj_relalg::column::ColumnBatch;
-use mj_relalg::{EquiJoin, JoinAlgorithm, RelalgError, Relation, Result};
-use mj_storage::scan_bucket_columns;
+use mj_relalg::{EquiJoin, JoinAlgorithm, RelalgError, Result};
+use mj_storage::ScanCursor;
 
 use crate::handle::QueryCtrl;
 use crate::metrics::InstanceStats;
@@ -56,30 +56,13 @@ pub type DoneMsg = (usize, Result<InstanceStats>);
 /// current columnar chunk plus an explicit row cursor so a blocked
 /// instance picks up exactly where it stopped.
 ///
-/// `Local` and `Filtered` operands convert their fragments to columns
-/// *lazily on the worker thread* — one [`ColumnBatch`] per fragment, built
-/// the first time the chunk is needed — so conversion cost lands on the
-/// instance that consumes the data, not on query setup.
+/// A `Scan` operand reads stored columns in place through a
+/// [`ScanCursor`]: the stored batch itself when every row is read, else
+/// the selected rows gathered chunk by chunk on the worker thread that
+/// consumes them.
 enum Operand {
-    /// A processor-local fragment, scanned into columns on first touch.
-    Local {
-        rel: std::sync::Arc<Relation>,
-        cols: Option<ColumnBatch>,
-        pos: usize,
-        done: bool,
-    },
-    /// Materialized producer fragments filtered to this instance's bucket:
-    /// each fragment is bucket-scanned ([`scan_bucket_columns`]) into one
-    /// columnar chunk holding exactly the surviving rows.
-    Filtered {
-        fragments: Vec<std::sync::Arc<Relation>>,
-        key_col: usize,
-        bucket: usize,
-        of: usize,
-        frag: usize,
-        cols: Option<ColumnBatch>,
-        pos: usize,
-    },
+    /// Stored columns (base relation or materialized fragments).
+    Scan(ScanCursor),
     /// A live stream; `current` is a partially consumed in-flight batch.
     Stream {
         rx: Receiver<Msg>,
@@ -104,26 +87,7 @@ enum Feed {
 impl Operand {
     fn new(source: Source) -> Operand {
         match source {
-            Source::Local(rel) => Operand::Local {
-                rel,
-                cols: None,
-                pos: 0,
-                done: false,
-            },
-            Source::Filtered {
-                fragments,
-                key_col,
-                bucket,
-                of,
-            } => Operand::Filtered {
-                fragments,
-                key_col,
-                bucket,
-                of,
-                frag: 0,
-                cols: None,
-                pos: 0,
-            },
+            Source::Scan(scans) => Operand::Scan(ScanCursor::new(scans)),
             Source::Stream { rx, producers } => Operand::Stream {
                 rx,
                 remaining: producers,
@@ -139,55 +103,14 @@ impl Operand {
 
     /// Ensures a chunk with unconsumed rows is loaded, without ever
     /// blocking. Spent chunks are released here (stream buffers return to
-    /// their pool; scanned fragments free their columns).
+    /// their pool; an exhausted scan frees its chunk buffer).
     fn ready(&mut self) -> Result<Feed> {
         match self {
-            Operand::Local {
-                rel,
-                cols,
-                pos,
-                done,
-            } => {
-                if *done {
-                    return Ok(Feed::Exhausted);
-                }
-                if cols.is_none() {
-                    *cols = Some(ColumnBatch::from_relation(rel)?);
-                }
-                if *pos >= cols.as_ref().map_or(0, ColumnBatch::rows) {
-                    *cols = None;
-                    *done = true;
-                    return Ok(Feed::Exhausted);
-                }
-                Ok(Feed::Ready)
-            }
-            Operand::Filtered {
-                fragments,
-                key_col,
-                bucket,
-                of,
-                frag,
-                cols,
-                pos,
-            } => loop {
-                if let Some(c) = cols {
-                    if *pos < c.rows() {
-                        return Ok(Feed::Ready);
-                    }
-                    *cols = None;
-                    *pos = 0;
-                }
-                if *frag >= fragments.len() {
-                    return Ok(Feed::Exhausted);
-                }
-                *cols = Some(scan_bucket_columns(
-                    &fragments[*frag],
-                    *key_col,
-                    *bucket,
-                    *of,
-                )?);
-                *frag += 1;
-            },
+            Operand::Scan(cursor) => Ok(if cursor.ready()? {
+                Feed::Ready
+            } else {
+                Feed::Exhausted
+            }),
             Operand::Stream {
                 rx,
                 remaining,
@@ -224,9 +147,7 @@ impl Operand {
     /// [`ready`](Self::ready) returned [`Feed::Ready`].
     fn chunk(&self) -> (&ColumnBatch, usize) {
         match self {
-            Operand::Local { cols, pos, .. } | Operand::Filtered { cols, pos, .. } => {
-                (cols.as_ref().expect("ready chunk"), *pos)
-            }
+            Operand::Scan(cursor) => cursor.chunk(),
             Operand::Stream { current, pos, .. } => {
                 (current.as_ref().expect("ready chunk").columns(), *pos)
             }
@@ -236,9 +157,8 @@ impl Operand {
     /// Advances the cursor past `n` consumed rows.
     fn consume(&mut self, n: usize) {
         match self {
-            Operand::Local { pos, .. }
-            | Operand::Filtered { pos, .. }
-            | Operand::Stream { pos, .. } => *pos += n,
+            Operand::Scan(cursor) => cursor.consume(n),
+            Operand::Stream { pos, .. } => *pos += n,
         }
     }
 }

@@ -68,7 +68,7 @@ pub struct PlannerOptions {
     /// simply skipped as infeasible).
     pub allow_oversubscribe: bool,
     /// Push single-relation WHERE predicates below the joins: filters run
-    /// against base relations at scan time (zero-copy gather) and their
+    /// inside the base scans, over the stored columns, and their
     /// selectivities fold into every cardinality estimate and schedule
     /// cost. Off, filters run as a residual pipeline stage above the root
     /// join — the benchmark baseline pushdown is measured against.

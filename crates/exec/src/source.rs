@@ -1,31 +1,20 @@
 //! Operand sources as seen by one operation-process instance.
 
-use std::sync::Arc;
-
 use crossbeam::channel::Receiver;
-use mj_relalg::hash::bucket_of;
-use mj_relalg::{Relation, Result, Tuple};
+use mj_storage::ColumnScan;
 
 use crate::stream::Msg;
 
-/// Where an instance's operand tuples come from.
+/// Where an instance's operand rows come from.
 pub enum Source {
-    /// A processor-local fragment (ideal base fragmentation, §4.1): read
-    /// directly, no network.
-    Local(Arc<Relation>),
-    /// A materialized intermediate: the instance pulls every producer
-    /// fragment and keeps the tuples that hash to its own bucket —
+    /// Stored columns read in place, one scan after another. A base
+    /// operand is one scan of the catalog's column-resident relation,
+    /// restricted to this instance's hash bucket (the ideal fragmentation
+    /// of §4.1, held as a cached selection vector) and to any pushed-down
+    /// filter. A materialized operand is one scan per producer fragment,
+    /// each restricted to this instance's bucket of the consumer key —
     /// physically a redistribution read.
-    Filtered {
-        /// All producer output fragments.
-        fragments: Vec<Arc<Relation>>,
-        /// Key column to bucket on (this operand's join key).
-        key_col: usize,
-        /// This instance's bucket.
-        bucket: usize,
-        /// Total buckets (= the consuming op's degree).
-        of: usize,
-    },
+    Scan(Vec<ColumnScan>),
     /// A live stream from `producers` producer instances.
     Stream {
         /// This instance's receiver.
@@ -36,88 +25,70 @@ pub enum Source {
 }
 
 impl Source {
-    /// True if all tuples are available without waiting on other ops.
+    /// True if all rows are available without waiting on other ops.
     pub fn is_immediate(&self) -> bool {
         !matches!(self, Source::Stream { .. })
-    }
-
-    /// Drains an immediate source, invoking `f` per tuple. Panics on
-    /// `Stream` sources (use the operator loops for those).
-    pub fn for_each_immediate(&self, mut f: impl FnMut(Tuple) -> Result<()>) -> Result<u64> {
-        let mut n = 0u64;
-        match self {
-            Source::Local(rel) => {
-                for t in rel.iter() {
-                    f(t.clone())?;
-                    n += 1;
-                }
-            }
-            Source::Filtered {
-                fragments,
-                key_col,
-                bucket,
-                of,
-            } => {
-                for frag in fragments {
-                    for t in frag.iter() {
-                        if bucket_of(t.int(*key_col)?, *of) == *bucket {
-                            f(t.clone())?;
-                            n += 1;
-                        }
-                    }
-                }
-            }
-            Source::Stream { .. } => unreachable!("for_each_immediate on a stream"),
-        }
-        Ok(n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mj_relalg::{Attribute, Schema};
+    use mj_relalg::column::{ColumnBatch, ColumnLayout};
+    use mj_relalg::hash::bucket_of;
+    use mj_relalg::Tuple;
+    use mj_storage::{BucketIndex, Rows, ScanCursor};
+    use std::sync::Arc;
 
-    fn rel(n: i64) -> Arc<Relation> {
-        let schema = Schema::new(vec![Attribute::int("k")]).shared();
-        Arc::new(Relation::new_unchecked(
-            schema,
-            (0..n).map(|v| Tuple::from_ints(&[v])).collect(),
-        ))
+    fn columns(n: i64) -> Arc<ColumnBatch> {
+        let mut b = ColumnBatch::with_capacity(&ColumnLayout::ints(1), n as usize);
+        for v in 0..n {
+            b.push_tuple(&Tuple::from_ints(&[v])).unwrap();
+        }
+        Arc::new(b)
+    }
+
+    /// Every key a scan source yields.
+    fn keys(source: Source) -> Vec<i64> {
+        let Source::Scan(scans) = source else {
+            panic!("not a scan");
+        };
+        let mut cursor = ScanCursor::new(scans);
+        let mut out = Vec::new();
+        while cursor.ready().unwrap() {
+            let (cols, pos) = cursor.chunk();
+            out.extend_from_slice(&cols.int_col(0).unwrap()[pos..]);
+            let n = cols.rows() - pos;
+            cursor.consume(n);
+        }
+        out
     }
 
     #[test]
     fn local_drains_everything() {
-        let s = Source::Local(rel(10));
-        let mut seen = 0;
-        let n = s
-            .for_each_immediate(|_| {
-                seen += 1;
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(n, 10);
-        assert_eq!(seen, 10);
+        let s = Source::Scan(vec![ColumnScan::new(columns(10))]);
         assert!(s.is_immediate());
+        assert_eq!(keys(s), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn filtered_partitions_exactly() {
-        let fragments = vec![rel(50), rel(50)];
-        let mut total = 0u64;
+        let fragments = [columns(50), columns(50)];
+        let indexes: Vec<Arc<BucketIndex>> = fragments
+            .iter()
+            .map(|f| Arc::new(BucketIndex::build(f.int_col(0).unwrap(), 4).unwrap()))
+            .collect();
+        let mut total = 0;
         for bucket in 0..4 {
-            let s = Source::Filtered {
-                fragments: fragments.clone(),
-                key_col: 0,
-                bucket,
-                of: 4,
-            };
-            total += s
-                .for_each_immediate(|t| {
-                    assert_eq!(bucket_of(t.int(0).unwrap(), 4), bucket);
-                    Ok(())
-                })
-                .unwrap();
+            let scans = fragments
+                .iter()
+                .zip(&indexes)
+                .map(|(f, ix)| ColumnScan::new(f.clone()).rows(Rows::Bucket(ix.clone(), bucket)))
+                .collect();
+            for k in keys(Source::Scan(scans)) {
+                assert_eq!(bucket_of(k, 4), bucket);
+                total += 1;
+            }
         }
         assert_eq!(total, 100, "buckets partition the input");
     }

@@ -100,7 +100,11 @@ fn fault_sweep_every_operator_and_kind_fails_clean() {
                 let opts = QueryOptions::new()
                     .with_memory_budget(1 << 30)
                     .with_faults(plan);
-                let err = collect_with(&db, &text, opts)
+                let handle = db.query_with(&text, opts).expect("submit");
+                let budget = handle.budget();
+                let err = handle
+                    .collect()
+                    .map_err(MjError::from)
                     .expect_err(&format!("{ctx}: injected fault must surface"));
                 match kind {
                     FaultKind::Panic => assert!(
@@ -116,12 +120,19 @@ fn fault_sweep_every_operator_and_kind_fails_clean() {
                         "{ctx}: expected Stalled, got {err}"
                     ),
                 }
-                // The faulted query left nothing behind...
+                // The faulted query left nothing behind: its stored
+                // columnar fragments and every other charge (an injected
+                // spike included) are credited back...
                 assert_eq!(
                     db.engine().store().total_bytes(),
                     0,
                     "{ctx}: fragments leaked"
                 );
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                while budget.used() != 0 && std::time::Instant::now() < deadline {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                assert_eq!(budget.used(), 0, "{ctx}: budget not returned");
                 // ...and the engine still answers the same query correctly.
                 let after = collect_with(&db, &text, QueryOptions::default())
                     .unwrap_or_else(|e| panic!("{ctx}: engine unusable after fault: {e}"));

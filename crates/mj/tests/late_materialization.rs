@@ -235,9 +235,9 @@ fn late_mid_stream_cancel_quiesces_with_exact_reclaim() {
 
 #[test]
 fn late_budget_accounting_returns_to_zero() {
-    // The registry's pinned payload bytes are charged for the query's
-    // lifetime and credited at teardown; a completed query leaves the
-    // budget exactly where it started.
+    // The registry pins catalog-resident batches (charged to no query) for
+    // the query's lifetime; a completed query leaves the counters
+    // coherent and every charge returned.
     let db = family_db(QueryFamily::Chain, 4, 500, 11, late_config());
     let text = chain_query_sql(4);
     let before = db.stats();

@@ -274,6 +274,11 @@ impl ColumnLayout {
         }
     }
 
+    /// A layout of the given column types, in order.
+    pub fn from_types(types: Vec<DataType>) -> ColumnLayout {
+        ColumnLayout { types }
+    }
+
     /// The column types in order.
     pub fn types(&self) -> &[DataType] {
         &self.types
@@ -441,15 +446,6 @@ impl ColumnBatch {
             values.push(c.value(r)?);
         }
         Ok(Tuple::new(values))
-    }
-
-    /// Materializes rows `start..end` as [`Tuple`]s into `out`.
-    pub fn rows_into(&self, range: Range<usize>, out: &mut Vec<Tuple>) -> Result<()> {
-        out.reserve(range.len());
-        for r in range {
-            out.push(self.row(r)?);
-        }
-        Ok(())
     }
 
     /// Appends rows `start..end` of `src` column-at-a-time.
@@ -809,6 +805,27 @@ pub fn select(
             select_sel(pred, batch, &cand, out)
         }
     }
+}
+
+/// Evaluates `pred` over the candidate rows `cand` of `batch` (ascending
+/// row indices), appending the survivors to `out` in candidate order —
+/// the selective form of [`select`], which scans restricted to a hash
+/// bucket's row list use to apply a pushed-down filter.
+pub fn select_rows(
+    pred: &Predicate,
+    batch: &ColumnBatch,
+    cand: &[u32],
+    out: &mut Vec<u32>,
+) -> Result<()> {
+    if let Some(&last) = cand.last() {
+        if last as usize >= batch.rows() {
+            return Err(RelalgError::IndexOutOfBounds {
+                index: last as usize,
+                arity: batch.rows(),
+            });
+        }
+    }
+    select_sel(pred, batch, cand, out)
 }
 
 /// Hashes a whole key column into partition buckets: `out[i]` is the

@@ -1,6 +1,6 @@
 //! Selection (σ).
 
-use crate::error::{RelalgError, Result};
+use crate::error::Result;
 use crate::predicate::Predicate;
 use crate::relation::Relation;
 
@@ -13,35 +13,6 @@ pub fn filter(input: &Relation, predicate: &Predicate) -> Result<Relation> {
         }
     }
     Ok(Relation::new_unchecked(input.schema().clone(), out))
-}
-
-/// Selection as a **selection vector**: evaluates the predicate over a
-/// columnar view of `input` and returns the surviving row indices
-/// (ascending). Integer comparisons run through the branch-free
-/// [`select`](crate::column::select) kernel; this is the form pushed scan
-/// filters use, so downstream operators can gather lazily instead of
-/// copying rows.
-pub fn filter_selection(input: &Relation, predicate: &Predicate) -> Result<Vec<u32>> {
-    if input.len() > u32::MAX as usize {
-        return Err(RelalgError::InvalidPlan(format!(
-            "relation of {} rows exceeds the u32 row-index cap",
-            input.len()
-        )));
-    }
-    let cols = crate::column::ColumnBatch::from_relation(input)?;
-    let mut sel = Vec::new();
-    crate::column::select(predicate, &cols, 0..cols.rows(), &mut sel)?;
-    Ok(sel)
-}
-
-/// Selection as a two-pass index gather: compute the selection vector
-/// ([`filter_selection`]), then [`Relation::gather`] the surviving rows —
-/// the zero-copy form the engine uses to push filters down to
-/// base-relation scans (gathered rows share tuple payloads with the
-/// original relation).
-pub fn filter_gather(input: &Relation, predicate: &Predicate) -> Result<Relation> {
-    let indices = filter_selection(input, predicate)?;
-    input.gather(&indices)
 }
 
 #[cfg(test)]

@@ -252,8 +252,17 @@ fn to_line(v: &JsonValue) -> String {
 pub fn parse_request(line: &[u8]) -> Result<Request, WireError> {
     let text = std::str::from_utf8(line)
         .map_err(|e| WireError::protocol(format!("request is not valid UTF-8: {e}")))?;
-    let value: JsonValue = serde_json::from_str(text)
-        .map_err(|e| WireError::protocol(format!("malformed JSON frame: {e}")))?;
+    let value: JsonValue = serde_json::from_str(text).map_err(|e| match e {
+        // Hostile nesting is a syntax limit of the request text: answer
+        // like any other parse diagnostic, pointing at the bracket.
+        serde_json::Error::TooDeep { at } => WireError {
+            code: "parse",
+            message: format!("malformed JSON frame: {e}"),
+            span: Some(Span::new(at, at + 1)),
+            queue_depth: None,
+        },
+        e => WireError::protocol(format!("malformed JSON frame: {e}")),
+    })?;
     let pairs = match &value {
         JsonValue::Obj(pairs) => pairs,
         other => {

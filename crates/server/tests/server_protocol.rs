@@ -142,6 +142,31 @@ fn oversized_lines_are_rejected_without_killing_the_connection() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_parse_error_not_a_crash() {
+    let server = chain_server();
+    let mut bystander = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // Half a million `[` fit under the line cap; parsed recursively without
+    // a depth limit they overflow the connection worker's stack and abort
+    // the whole process.
+    let brackets = "[".repeat(500_000);
+    let objects = r#"{"query":"#.repeat(60_000);
+    for hostile in [&brackets, &objects] {
+        assert!(hostile.len() < mj_server::protocol::MAX_LINE_BYTES);
+        client.send_line(hostile).unwrap();
+        let frame = client.read_frame().unwrap().expect("reply expected");
+        let err = frame.get("error").expect("error frame");
+        assert_eq!(err.get("code"), Some(&JsonValue::Str("parse".to_string())));
+        assert!(matches!(err.get("span"), Some(JsonValue::Obj(_))));
+    }
+
+    // The same connection, and every other client, keep working.
+    assert!(!client.query(CHAIN_QUERY).unwrap().rows.is_empty());
+    assert!(!bystander.query(CHAIN_QUERY).unwrap().rows.is_empty());
+}
+
+#[test]
 fn pipelined_requests_answer_in_order() {
     let server = chain_server();
     let mut client = Client::connect(server.local_addr()).unwrap();

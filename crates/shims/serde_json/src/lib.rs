@@ -5,13 +5,33 @@ use std::fmt;
 
 use serde::{DeError, Deserialize, JsonValue, Serialize};
 
+/// Deepest array/object nesting [`from_str`] accepts. The parser recurses
+/// once per level, so without a bound a short line of `[` characters
+/// would overflow the parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Serialization/deserialization error.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Error(pub String);
+pub enum Error {
+    /// Malformed JSON, or JSON that does not fit the target type.
+    Message(String),
+    /// Arrays/objects nested deeper than [`MAX_DEPTH`]; `at` is the byte
+    /// offset of the bracket that crossed the limit.
+    TooDeep {
+        /// Byte offset of the offending `[` or `{`.
+        at: usize,
+    },
+}
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json error: {}", self.0)
+        match self {
+            Error::Message(m) => write!(f, "json error: {m}"),
+            Error::TooDeep { at } => write!(
+                f,
+                "json error: nesting deeper than {MAX_DEPTH} levels at byte {at}"
+            ),
+        }
     }
 }
 
@@ -19,7 +39,7 @@ impl std::error::Error for Error {}
 
 impl From<DeError> for Error {
     fn from(e: DeError) -> Self {
-        Error(e.0)
+        Error::Message(e.0)
     }
 }
 
@@ -35,12 +55,13 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing input at byte {}", p.pos)));
+        return Err(Error::Message(format!("trailing input at byte {}", p.pos)));
     }
     Ok(T::from_json(&v)?)
 }
@@ -115,6 +136,8 @@ fn print_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -135,7 +158,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(Error(format!(
+            Err(Error::Message(format!(
                 "expected `{}` at byte {}, found {:?}",
                 b as char,
                 self.pos,
@@ -154,7 +177,7 @@ impl<'a> Parser<'a> {
             Some(b'[') => self.parse_array(),
             Some(b'{') => self.parse_object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            other => Err(Error(format!(
+            other => Err(Error::Message(format!(
                 "unexpected {:?} at byte {}",
                 other.map(|c| c as char),
                 self.pos
@@ -167,7 +190,10 @@ impl<'a> Parser<'a> {
             self.pos += kw.len();
             Ok(v)
         } else {
-            Err(Error(format!("expected `{kw}` at byte {}", self.pos)))
+            Err(Error::Message(format!(
+                "expected `{kw}` at byte {}",
+                self.pos
+            )))
         }
     }
 
@@ -188,7 +214,7 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("non-utf8 number".into()))?;
+            .map_err(|_| Error::Message("non-utf8 number".into()))?;
         if !is_float {
             if let Ok(n) = text.parse::<i64>() {
                 return Ok(JsonValue::Int(n));
@@ -199,7 +225,7 @@ impl<'a> Parser<'a> {
         }
         text.parse::<f64>()
             .map(JsonValue::Float)
-            .map_err(|_| Error(format!("bad number `{text}`")))
+            .map_err(|_| Error::Message(format!("bad number `{text}`")))
     }
 
     fn parse_string(&mut self) -> Result<String, Error> {
@@ -209,7 +235,7 @@ impl<'a> Parser<'a> {
             let rest = &self.bytes[self.pos..];
             let c = *rest
                 .first()
-                .ok_or_else(|| Error("unterminated string".into()))?;
+                .ok_or_else(|| Error::Message("unterminated string".into()))?;
             match c {
                 b'"' => {
                     self.pos += 1;
@@ -217,7 +243,9 @@ impl<'a> Parser<'a> {
                     return Ok(out);
                 }
                 b'\\' => {
-                    let esc = *rest.get(1).ok_or_else(|| Error("dangling escape".into()))?;
+                    let esc = *rest
+                        .get(1)
+                        .ok_or_else(|| Error::Message("dangling escape".into()))?;
                     self.pos += 2;
                     match esc {
                         b'"' => out.push('"'),
@@ -240,17 +268,20 @@ impl<'a> Parser<'a> {
                                 hi
                             };
                             out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| Error(format!("bad codepoint {cp:#x}")))?,
+                                char::from_u32(cp).ok_or_else(|| {
+                                    Error::Message(format!("bad codepoint {cp:#x}"))
+                                })?,
                             );
                         }
-                        other => return Err(Error(format!("bad escape `\\{}`", other as char))),
+                        other => {
+                            return Err(Error::Message(format!("bad escape `\\{}`", other as char)))
+                        }
                     }
                 }
                 _ => {
                     // Consume one UTF-8 character.
-                    let s =
-                        std::str::from_utf8(rest).map_err(|_| Error("non-utf8 string".into()))?;
+                    let s = std::str::from_utf8(rest)
+                        .map_err(|_| Error::Message("non-utf8 string".into()))?;
                     let ch = s.chars().next().expect("non-empty");
                     out.push(ch);
                     self.pos += ch.len_utf8();
@@ -264,14 +295,39 @@ impl<'a> Parser<'a> {
         let slice = self
             .bytes
             .get(self.pos..end)
-            .ok_or_else(|| Error("truncated \\u escape".into()))?;
-        let text = std::str::from_utf8(slice).map_err(|_| Error("bad \\u escape".into()))?;
-        let v = u32::from_str_radix(text, 16).map_err(|_| Error("bad \\u escape".into()))?;
+            .ok_or_else(|| Error::Message("truncated \\u escape".into()))?;
+        let text =
+            std::str::from_utf8(slice).map_err(|_| Error::Message("bad \\u escape".into()))?;
+        let v =
+            u32::from_str_radix(text, 16).map_err(|_| Error::Message("bad \\u escape".into()))?;
         self.pos = end;
         Ok(v)
     }
 
+    /// Opens one nesting level, failing past [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), Error> {
+        if self.depth >= MAX_DEPTH {
+            return Err(Error::TooDeep { at: self.pos });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn parse_array(&mut self) -> Result<JsonValue, Error> {
+        self.enter()?;
+        let v = self.parse_array_items();
+        self.depth -= 1;
+        v
+    }
+
+    fn parse_object(&mut self) -> Result<JsonValue, Error> {
+        self.enter()?;
+        let v = self.parse_object_members();
+        self.depth -= 1;
+        v
+    }
+
+    fn parse_array_items(&mut self) -> Result<JsonValue, Error> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -291,7 +347,7 @@ impl<'a> Parser<'a> {
                     return Ok(JsonValue::Arr(items));
                 }
                 other => {
-                    return Err(Error(format!(
+                    return Err(Error::Message(format!(
                         "expected `,` or `]`, found {:?}",
                         other.map(|c| c as char)
                     )))
@@ -300,7 +356,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue, Error> {
+    fn parse_object_members(&mut self) -> Result<JsonValue, Error> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -325,7 +381,7 @@ impl<'a> Parser<'a> {
                     return Ok(JsonValue::Obj(pairs));
                 }
                 other => {
-                    return Err(Error(format!(
+                    return Err(Error::Message(format!(
                         "expected `,` or `}}`, found {:?}",
                         other.map(|c| c as char)
                     )))
@@ -361,6 +417,30 @@ mod tests {
         assert_eq!(v, vec![1, 2, 3]);
         let s: String = from_str(r#""Aé😀""#).unwrap();
         assert_eq!(s, "Aé😀");
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(
+            from_str::<JsonValue>(&ok).is_ok(),
+            "the limit itself parses"
+        );
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(
+            from_str::<JsonValue>(&deep),
+            Err(Error::TooDeep { at: MAX_DEPTH })
+        );
+        // Far past the limit, and mixed with objects: still an error, no
+        // stack overflow.
+        let hostile = "[{\"a\":".repeat(250_000);
+        assert!(matches!(
+            from_str::<JsonValue>(&hostile),
+            Err(Error::TooDeep { .. })
+        ));
+        // Depth is per path, not per document: wide siblings are fine.
+        let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
+        assert!(from_str::<JsonValue>(&wide).is_ok());
     }
 
     #[test]

@@ -1,10 +1,21 @@
 //! Catalog: named relations plus the statistics the phase-1 optimizer uses.
+//!
+//! Every registration pivots the relation once into an immutable
+//! column-resident copy ([`ResidentRelation`]), tied to the catalog
+//! generation of that registration. Queries scan those columns directly;
+//! the hash-bucket row lists of each (key column, degree) pair are computed
+//! on first use and cached on the resident copy, so re-registering a name
+//! replaces columns and bucket lists together and the old generation's
+//! caches die with the last query still reading them.
 
+use mj_relalg::column::{Column, ColumnBatch};
 use mj_relalg::{RelalgError, Relation, RelationProvider, Result};
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use parking_lot::{Mutex, RwLock};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use crate::columnar::BucketIndex;
 
 /// Optimizer-visible statistics for a base relation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -27,10 +38,77 @@ impl TableStats {
     }
 }
 
+/// One registered relation as the engine scans it: the rows it was
+/// registered with (the oracle's and the row API's view), their immutable
+/// columnar pivot, and the bucket row lists computed over those columns.
+#[derive(Debug)]
+pub struct ResidentRelation {
+    /// The relation as registered: what [`RelationProvider::relation`]
+    /// serves to the oracle and the row API.
+    relation: Arc<Relation>,
+    /// The pivot, or the error that made the relation unpivotable (a
+    /// relation whose tuples violate its own schema); surfaced to the
+    /// queries that scan it.
+    columns: std::result::Result<Arc<ColumnBatch>, RelalgError>,
+    generation: u64,
+    buckets: Mutex<HashMap<(usize, usize), Arc<BucketIndex>>>,
+}
+
+impl ResidentRelation {
+    fn new(relation: Arc<Relation>) -> ResidentRelation {
+        let columns = ColumnBatch::from_relation(&relation).map(Arc::new);
+        ResidentRelation {
+            relation,
+            columns,
+            generation: 0,
+            buckets: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The column-resident copy every scan reads.
+    pub fn columns(&self) -> Result<&Arc<ColumnBatch>> {
+        self.columns.as_ref().map_err(Clone::clone)
+    }
+
+    /// The catalog generation this copy was registered at.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The row lists of `key_col` hashed into `of` buckets, computed with
+    /// the vectorized bucket kernel on first use and shared by every later
+    /// scan of this generation.
+    pub fn buckets(&self, key_col: usize, of: usize) -> Result<Arc<BucketIndex>> {
+        if let Some(index) = self.buckets.lock().get(&(key_col, of)) {
+            return Ok(index.clone());
+        }
+        // Built outside the lock: a racing scan may build the same index
+        // twice, and the first insert wins.
+        let index = Arc::new(BucketIndex::build(self.columns()?.int_col(key_col)?, of)?);
+        Ok(self
+            .buckets
+            .lock()
+            .entry((key_col, of))
+            .or_insert(index)
+            .clone())
+    }
+
+    /// Number of cached bucket indexes.
+    pub fn cached_buckets(&self) -> usize {
+        self.buckets.lock().len()
+    }
+
+    /// Bytes held by the columnar copy and its cached bucket indexes.
+    pub fn bytes(&self) -> u64 {
+        let columns = self.columns.as_ref().map_or(0, |c| c.capacity_bytes());
+        columns + self.buckets.lock().values().map(|b| b.bytes()).sum::<u64>()
+    }
+}
+
 /// A thread-safe catalog of named relations and their statistics.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    entries: RwLock<HashMap<String, (Arc<Relation>, TableStats)>>,
+    entries: RwLock<HashMap<String, (Arc<ResidentRelation>, TableStats)>>,
     /// Distinct-value counts per (relation, column) — what the planner's
     /// selectivity formula `1 / max(d_left, d_right)` runs on. Columns
     /// without an entry fall back to [`TableStats`].
@@ -56,8 +134,21 @@ impl Catalog {
         self.generation.load(Ordering::Acquire)
     }
 
-    fn bump_generation(&self) {
-        self.generation.fetch_add(1, Ordering::AcqRel);
+    fn bump_generation(&self) -> u64 {
+        self.generation.fetch_add(1, Ordering::AcqRel) + 1
+    }
+
+    /// Inserts a pivoted relation under the write lock, stamping it with
+    /// the generation its insertion creates.
+    fn insert(
+        &self,
+        entries: &mut HashMap<String, (Arc<ResidentRelation>, TableStats)>,
+        name: String,
+        mut resident: ResidentRelation,
+        stats: TableStats,
+    ) {
+        resident.generation = self.bump_generation();
+        entries.insert(name, (Arc::new(resident), stats));
     }
 
     /// Registers a relation, deriving unique-key statistics from its size.
@@ -66,34 +157,50 @@ impl Catalog {
         self.register_with_stats(name, relation, stats);
     }
 
-    /// Registers a relation, erroring if the name is already taken. The
-    /// check-and-insert is atomic under the catalog's write lock, so
-    /// concurrent sessions cannot silently overwrite each other — the
-    /// session front door's duplicate guard.
+    /// Registers a relation, erroring if the name is already taken or the
+    /// relation cannot be pivoted. The check-and-insert is atomic under the
+    /// catalog's write lock, so concurrent sessions cannot silently
+    /// overwrite each other — the session front door's duplicate guard.
     pub fn register_new(&self, name: impl Into<String>, relation: Arc<Relation>) -> Result<()> {
         let name = name.into();
         let stats = TableStats::unique_key(relation.len() as u64);
+        let resident = ResidentRelation::new(relation);
         let mut entries = self.entries.write();
         if entries.contains_key(&name) {
             return Err(RelalgError::InvalidPlan(format!(
                 "relation `{name}` is already registered"
             )));
         }
-        entries.insert(name, (relation, stats));
-        drop(entries);
-        self.bump_generation();
+        resident.columns()?;
+        self.insert(&mut entries, name, resident, stats);
         Ok(())
     }
 
-    /// Registers a relation with explicit statistics (e.g. skewed keys).
+    /// Registers a relation with explicit statistics (e.g. skewed keys),
+    /// replacing any relation of that name: the new columns and an empty
+    /// bucket cache take the old generation's place.
     pub fn register_with_stats(
         &self,
         name: impl Into<String>,
         relation: Arc<Relation>,
         stats: TableStats,
     ) {
-        self.entries.write().insert(name.into(), (relation, stats));
-        self.bump_generation();
+        let resident = ResidentRelation::new(relation);
+        self.insert(&mut self.entries.write(), name.into(), resident, stats);
+    }
+
+    /// The column-resident copy of `name` (current generation).
+    pub fn resident(&self, name: &str) -> Result<Arc<ResidentRelation>> {
+        self.entries
+            .read()
+            .get(name)
+            .map(|(r, _)| r.clone())
+            .ok_or_else(|| RelalgError::UnknownRelation(name.to_string()))
+    }
+
+    /// Bytes held by every resident columnar copy and its bucket caches.
+    pub fn resident_bytes(&self) -> u64 {
+        self.entries.read().values().map(|(r, _)| r.bytes()).sum()
     }
 
     /// The statistics recorded for `name`.
@@ -113,17 +220,19 @@ impl Catalog {
         self.bump_generation();
     }
 
-    /// Scans the relation and records exact distinct counts for every
-    /// column — O(rows × columns); meant for generated/benchmark data, not
-    /// for production-size loads.
+    /// Scans the resident columns and records exact distinct counts for
+    /// every column — O(rows × columns); meant for generated/benchmark
+    /// data, not for production-size loads.
     pub fn analyze(&self, name: &str) -> Result<()> {
-        let rel = self.relation(name)?;
-        for col in 0..rel.schema().arity() {
-            let mut seen = std::collections::HashSet::new();
-            for tuple in rel.iter() {
-                seen.insert(tuple.get(col)?.clone());
-            }
-            self.set_column_distinct(name, col, seen.len() as u64);
+        let resident = self.resident(name)?;
+        let columns = resident.columns()?;
+        for col in 0..columns.arity() {
+            let distinct = match columns.column(col)? {
+                Column::Int(keys) => keys.iter().collect::<HashSet<_>>().len(),
+                Column::Ref(refs) => refs.iter().collect::<HashSet<_>>().len(),
+                Column::Val(values) => values.iter().collect::<HashSet<_>>().len(),
+            };
+            self.set_column_distinct(name, col, distinct as u64);
         }
         Ok(())
     }
@@ -164,7 +273,7 @@ impl RelationProvider for Catalog {
         self.entries
             .read()
             .get(name)
-            .map(|(r, _)| r.clone())
+            .map(|(r, _)| r.relation.clone())
             .ok_or_else(|| RelalgError::UnknownRelation(name.to_string()))
     }
 }

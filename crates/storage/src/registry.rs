@@ -1,15 +1,16 @@
 //! The query-scoped fragment registry backing late materialization.
 //!
 //! A late-materialized plan replaces the payload columns of every base
-//! relation with one packed row-reference column; the full-width payload
-//! batches are *pinned* here, indexed by leaf id, until the query's final
-//! gather resolves the surviving references. The registry is built once
-//! during query setup (before any task runs) and then shared immutably, so
-//! readers need no locks; it drops with the query, independently of the
-//! [`FragmentStore`](crate::FragmentStore) reclaiming the scanned
-//! (narrowed) fragments — cancelling a query with refs still in flight is
-//! safe because the refs die with their batches while the registry keeps
-//! the payload alive until teardown.
+//! relation with one packed row-reference column; the catalog's stored
+//! full-width batches are *pinned* here (shared, not copied), indexed by
+//! source id, until the query's final gather resolves the surviving
+//! references. The registry is built once during query setup (before any
+//! task runs) and then shared immutably, so readers need no locks; it
+//! drops with the query. Pinning keeps the batches a query's refs point
+//! into alive even if the relation is re-registered mid-query, and
+//! cancelling a query with refs still in flight is safe because the refs
+//! die with their batches while the registry keeps the payload alive
+//! until teardown.
 
 use std::sync::Arc;
 
